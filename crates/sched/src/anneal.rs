@@ -27,7 +27,7 @@
 //! assert!(out.plan.total_time() > 0.0);
 //! ```
 
-use crate::planner::{boundary_bytes, make_plan, Plan, StageTimer};
+use crate::planner::{boundary_bytes, Plan, StageTimer};
 use crate::sca::Target;
 use ndft_dft::KernelDescriptor;
 use rand::rngs::StdRng;
@@ -180,7 +180,7 @@ fn objective_value(
 ///
 /// ```
 /// use ndft_sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
-/// use ndft_sched::{plan_chain, StaticCodeAnalyzer};
+/// use ndft_sched::{plan, PlacementPolicy, StaticCodeAnalyzer};
 /// use ndft_dft::{build_task_graph, SiliconSystem};
 ///
 /// let sca = StaticCodeAnalyzer::paper_default();
@@ -193,7 +193,7 @@ fn objective_value(
 ///     &AnnealOptions::default(),
 /// );
 /// // On the time objective the annealer recovers the DP optimum.
-/// let dp = plan_chain(&stages, &sca);
+/// let dp = plan(&stages, PlacementPolicy::CostAware, &sca);
 /// assert!((sa.plan.total_time() - dp.total_time()).abs() < 1e-12);
 /// ```
 pub fn plan_anneal(
@@ -205,7 +205,7 @@ pub fn plan_anneal(
 ) -> AnnealOutcome {
     let n = stages.len();
     if n == 0 {
-        let plan = make_plan(stages, Vec::new(), timer);
+        let plan = Plan::evaluate(stages, Vec::new(), timer);
         return AnnealOutcome {
             plan,
             energy_joules: 0.0,
@@ -262,7 +262,7 @@ pub fn plan_anneal(
         }
     }
     let energy_joules = power.plan_energy(stages, &best, timer);
-    let plan = make_plan(stages, best, timer);
+    let plan = Plan::evaluate(stages, best, timer);
     AnnealOutcome {
         plan,
         energy_joules,
@@ -275,7 +275,7 @@ pub fn plan_anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_chain, plan_pinned};
+    use crate::planner::{plan, PlacementPolicy};
     use crate::sca::StaticCodeAnalyzer;
     use ndft_dft::{build_task_graph, SiliconSystem};
 
@@ -292,7 +292,7 @@ mod tests {
         for atoms in [64usize, 1024] {
             let s = stages(atoms);
             let t = sca();
-            let dp = plan_chain(&s, &t);
+            let dp = plan(&s, PlacementPolicy::CostAware, &t);
             let sa = plan_anneal(
                 &s,
                 &t,
@@ -314,7 +314,7 @@ mod tests {
         let s = stages(1024);
         let t = sca();
         let power = PowerModel::paper_default();
-        let time_plan = plan_chain(&s, &t);
+        let time_plan = plan(&s, PlacementPolicy::CostAware, &t);
         let time_energy = power.plan_energy(&s, &time_plan.placement, &t);
         let sa = plan_anneal(&s, &t, &power, Objective::Energy, &AnnealOptions::default());
         assert!(
@@ -334,7 +334,7 @@ mod tests {
             let (c, o) = crate::planner::evaluate(&s, placement, &t);
             (c + o) * power.plan_energy(&s, placement, &t)
         };
-        let time_plan = plan_chain(&s, &t);
+        let time_plan = plan(&s, PlacementPolicy::CostAware, &t);
         let energy_sa = plan_anneal(&s, &t, &power, Objective::Energy, &AnnealOptions::default());
         let edp_sa = plan_anneal(&s, &t, &power, Objective::Edp, &AnnealOptions::default());
         assert!(edp_sa.objective_value <= edp_of(&time_plan.placement) * (1.0 + 1e-9));
@@ -361,7 +361,7 @@ mod tests {
         let s = stages(64);
         let t = sca();
         let power = PowerModel::paper_default();
-        let pinned = plan_pinned(&s, Target::Cpu, &t);
+        let pinned = plan(&s, PlacementPolicy::CpuPinned, &t);
         let e = power.plan_energy(&s, &pinned.placement, &t);
         // No crossings ⇒ pure busy energy.
         assert!((e - pinned.compute_time * power.cpu_watts).abs() < 1e-9 * e);

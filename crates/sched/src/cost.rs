@@ -1,5 +1,5 @@
 //! The scheduling-overhead cost model (paper Eq. 1) and the cross-job
-//! load bias ([`TargetLoad`]) fed into the load-aware planners.
+//! load bias ([`TargetLoad`]) fed into [`crate::LoadBiasedTimer`].
 //!
 //! ## Boundary costs (Eq. 1)
 //!
@@ -129,8 +129,8 @@ impl CostModel {
 ///
 /// Produced by a serving layer's global utilization view (reserved
 /// modeled busy time per target across in-flight batches) and consumed
-/// by the load-aware planners ([`crate::plan_chain_loaded`] and
-/// friends), which dilate per-target stage-time estimates by
+/// through [`crate::LoadBiasedTimer`], which dilates per-target
+/// stage-time estimates by
 /// [`TargetLoad::dilation`] so concurrent batches spread across targets
 /// instead of piling onto the one an isolated plan would pick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -7,25 +7,27 @@
 //!   per-target time estimates.
 //! * [`cost`] — the Eq. 1 scheduling-overhead model (`DT + CXT`) and the
 //!   cross-job [`TargetLoad`] pressure model.
-//! * [`planner`] — cost-aware placement: optimal chain DP (NDFT's
-//!   mechanism), exhaustive validation, greedy and pinned baselines.
-//!   Every planner has a `*_loaded` variant that biases the decision by
-//!   a [`TargetLoad`] so concurrent batches spread across targets, and
-//!   [`plan_fused`] prices boundaries at their `k`-way fused share so
-//!   placement can prefer larger NDP batches when amortization wins.
+//! * [`planner`] — cost-aware placement through one entry point,
+//!   [`plan`]: the optimal chain DP (NDFT's mechanism), exhaustive
+//!   validation, greedy and pinned baselines, picked by
+//!   [`PlacementPolicy`]. Contention and batching are timer decorators:
+//!   [`LoadBiasedTimer`] biases the decision by a [`TargetLoad`] so
+//!   concurrent batches spread across targets, and [`FusedTimer`]
+//!   prices boundaries at their `k`-way fused share so placement can
+//!   prefer larger NDP batches when amortization wins.
 //! * [`granularity`] — the function-vs-basic-block-vs-instruction
 //!   offload-granularity study behind the paper's design choice.
 //!
 //! ## Example
 //!
 //! ```
-//! use ndft_sched::{plan_chain, plan_pinned, StaticCodeAnalyzer, Target};
+//! use ndft_sched::{plan, PlacementPolicy, StaticCodeAnalyzer};
 //! use ndft_dft::{build_task_graph, SiliconSystem};
 //!
 //! let sca = StaticCodeAnalyzer::paper_default();
 //! let graph = build_task_graph(&SiliconSystem::large(), 1);
-//! let hybrid = plan_chain(&graph.stages, &sca);
-//! let cpu_only = plan_pinned(&graph.stages, Target::Cpu, &sca);
+//! let hybrid = plan(&graph.stages, PlacementPolicy::CostAware, &sca);
+//! let cpu_only = plan(&graph.stages, PlacementPolicy::CpuPinned, &sca);
 //! assert!(hybrid.total_time() < cpu_only.total_time());
 //! ```
 
@@ -44,9 +46,7 @@ pub use dynamic::{simulate_online, DynamicOptions, DynamicReport};
 pub use granularity::{granularity_study, split_stages, Granularity, GranularityReport};
 pub use overlap::{analyze_overlap, OverlapAnalysis};
 pub use planner::{
-    plan_chain, plan_chain_loaded, plan_exhaustive, plan_exhaustive_loaded, plan_fused,
-    plan_fused_loaded, plan_greedy, plan_greedy_loaded, plan_pinned, FusedTimer, LoadBiasedTimer,
-    Plan, StageTimer,
+    plan, FusedTimer, LoadBiasedTimer, PlacementPolicy, Plan, StageTimer, EXHAUSTIVE_MAX_STAGES,
 };
 pub use roofline::{fig4_points, Boundedness, Roofline, RooflinePoint};
 pub use sca::{Analysis, StaticCodeAnalyzer, Target, TargetModel};

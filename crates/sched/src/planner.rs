@@ -1,15 +1,20 @@
-//! Cost-aware offload planners (§IV-A).
+//! Cost-aware offload planning (§IV-A).
 //!
 //! Given a chain of kernel stages, per-target time estimates, and the
 //! Eq. 1 boundary-cost model, choose a CPU/NDP placement per stage
-//! minimizing end-to-end time. Three planners:
+//! minimizing end-to-end time. There is one entry point, [`plan`], and
+//! a [`PlacementPolicy`] picks the algorithm:
 //!
-//! * [`plan_chain`] — dynamic programming, optimal for chain graphs
-//!   (which the LR-TDDFT pipeline is). This is NDFT's planner.
-//! * [`plan_exhaustive`] — brute force over all `2^n` placements,
-//!   used to validate the DP.
-//! * [`plan_greedy`] — per-stage argmin ignoring boundaries, the naive
-//!   baseline an ablation compares against.
+//! * [`PlacementPolicy::CostAware`] — dynamic programming, optimal for
+//!   chain graphs (which the LR-TDDFT pipeline is). This is NDFT's
+//!   planner.
+//! * [`PlacementPolicy::Exhaustive`] — brute force over all `2^n`
+//!   placements, used to validate the DP. Chains longer than
+//!   [`EXHAUSTIVE_MAX_STAGES`] fall back to the DP.
+//! * [`PlacementPolicy::Greedy`] — per-stage argmin ignoring boundaries,
+//!   the naive baseline an ablation compares against.
+//! * [`PlacementPolicy::CpuPinned`] / [`PlacementPolicy::NdpPinned`] —
+//!   every stage on one side (the single-target baselines).
 //!
 //! ## The chain DP
 //!
@@ -28,41 +33,38 @@
 //! ```
 //!
 //! Two states per stage, two predecessors per state: `O(n)` time,
-//! provably optimal for chains (validated against [`plan_exhaustive`]
-//! in `tests/planner_coverage.rs` up to the 24-stage brute-force guard).
+//! provably optimal for chains (validated against the exhaustive search
+//! in `tests/planner_coverage.rs` up to [`EXHAUSTIVE_MAX_STAGES`]).
 //! The back-pointers are traced to recover the placement.
 //!
-//! ## Cross-job load bias ([`TargetLoad`])
+//! ## Timer decorators: load and fusion
 //!
-//! Every planner also has a `*_loaded` variant
-//! ([`plan_chain_loaded`], [`plan_greedy_loaded`],
-//! [`plan_exhaustive_loaded`]) that plans under a cross-job
-//! [`TargetLoad`]: per-target stage-time estimates are dilated by the
-//! processor-sharing factor [`TargetLoad::dilation`] (a target already
-//! claimed by `k` concurrent batch-equivalents runs new work `1 + k`
-//! times slower), so the placement *decision* accounts for what
-//! concurrent batches have reserved. The returned [`Plan`]'s costs are
-//! then **re-evaluated under the unbiased timer**: reported
-//! `compute_time` / `sched_overhead` always describe the plan on an
-//! idle machine, so costs stay comparable across load levels and
-//! against the pinned baselines. The unloaded entry points are thin
-//! wrappers passing [`TargetLoad::NONE`]. Pinned placements
-//! ([`plan_pinned`]) take no load parameter — a pinned placement is the
-//! same under any load, only its completion time differs.
+//! [`plan`] knows nothing about contention or batching; both are
+//! [`StageTimer`] adapters the caller wraps around its timer.
 //!
-//! ## Fusion-aware planning ([`plan_fused`])
+//! * [`LoadBiasedTimer`] dilates per-target stage times by a cross-job
+//!   [`TargetLoad`]'s processor-sharing factor
+//!   ([`TargetLoad::dilation`]: a target already claimed by `k`
+//!   concurrent batch-equivalents runs new work `1 + k` times slower).
+//!   A caller *decides* under the biased timer and *reports* the chosen
+//!   placement with [`Plan::evaluate`] under the unbiased one, so
+//!   reported costs always describe an idle machine and stay comparable
+//!   across load levels and against the pinned baselines. The serving
+//!   layer's `plan_placement_with` is where that rule lives.
+//! * [`FusedTimer`] prices every boundary at its `k`-way fused
+//!   per-member share. When a serving layer fuses `k` same-class jobs
+//!   into one batch, the coalesced transfer pays one wire latency and
+//!   one context switch for all `k` tensors
+//!   ([`CostModel::fused_boundary`]); the adapter swaps the cost model
+//!   for its amortized view ([`CostModel::amortized`]) and leaves stage
+//!   times untouched, so placement can prefer larger NDP spans when
+//!   amortization beats the boundary tax. At `k = 1` it is an exact
+//!   identity, and the fused optimum's total time is non-increasing in
+//!   `k` (boundaries only get cheaper). Unlike the load bias, the
+//!   amortization is a real property of the placement and stays in the
+//!   reported costs.
 //!
-//! When a serving layer fuses `k` same-class jobs into one batch, every
-//! placement boundary is paid **once per batch** instead of once per
-//! member: the coalesced transfer pays one wire latency and one context
-//! switch for all `k` tensors ([`CostModel::fused_boundary`]). The
-//! [`FusedTimer`] adapter swaps the cost model for its per-member
-//! amortized view ([`CostModel::amortized`]) while leaving stage times
-//! untouched, and [`plan_fused`] / [`plan_fused_loaded`] run the same
-//! chain DP under it — so placement can prefer larger NDP spans when
-//! amortization beats the boundary tax. `plan_fused(s, t, 1)` is
-//! exactly `plan_chain(s, t)`, and the fused optimum's total time is
-//! non-increasing in `k` (boundaries only get cheaper).
+//! The two compose: `LoadBiasedTimer::new(&FusedTimer::new(&t, k), load)`.
 
 use crate::cost::{CostModel, TargetLoad};
 use crate::sca::{StaticCodeAnalyzer, Target};
@@ -116,6 +118,21 @@ impl Plan {
     pub fn crossings(&self) -> usize {
         self.placement.windows(2).filter(|w| w[0] != w[1]).count()
     }
+
+    /// Prices a given `placement` of `stages` under `timer`: stage times
+    /// plus Eq. 1 boundary costs at every crossing.
+    pub fn evaluate(
+        stages: &[KernelDescriptor],
+        placement: Vec<Target>,
+        timer: &dyn StageTimer,
+    ) -> Plan {
+        let (compute_time, sched_overhead) = evaluate(stages, &placement, timer);
+        Plan {
+            placement,
+            compute_time,
+            sched_overhead,
+        }
+    }
 }
 
 /// Bytes flowing across the boundary from stage `k` to `k+1`: the tensor
@@ -143,25 +160,35 @@ pub(crate) fn evaluate(
     (compute, overhead)
 }
 
-pub(crate) fn make_plan(
-    stages: &[KernelDescriptor],
-    placement: Vec<Target>,
-    timer: &dyn StageTimer,
-) -> Plan {
-    let (compute_time, sched_overhead) = evaluate(stages, &placement, timer);
-    Plan {
-        placement,
-        compute_time,
-        sched_overhead,
-    }
-}
-
 /// [`StageTimer`] adapter that dilates per-target stage times by a
-/// [`TargetLoad`]'s processor-sharing factor. This is how the `*_loaded`
-/// planners see a contended machine without any change to the DP itself;
+/// [`TargetLoad`]'s processor-sharing factor. This is how [`plan`] sees
+/// a contended machine without any change to the DP itself;
 /// boundary costs pass through unchanged (the host link is modeled
 /// uncontended — transfers are short relative to compute and the link is
 /// not the shared resource the load view tracks).
+///
+/// # Examples
+///
+/// ```
+/// use ndft_sched::{
+///     plan, LoadBiasedTimer, PlacementPolicy, Plan, StaticCodeAnalyzer, Target, TargetLoad,
+/// };
+/// use ndft_dft::{build_task_graph, SiliconSystem};
+///
+/// let sca = StaticCodeAnalyzer::paper_default();
+/// let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
+/// let idle = plan(&stages, PlacementPolicy::CostAware, &sca);
+/// // Concurrent batches hold 4 batch-equivalents of NDP busy time:
+/// // deciding under the bias backs the plan off the NDP side.
+/// let load = TargetLoad::new(0.0, 4.0 * idle.total_time(), idle.total_time());
+/// let biased = LoadBiasedTimer::new(&sca, load);
+/// let decided = plan(&stages, PlacementPolicy::CostAware, &biased);
+/// // Report the decision on the idle machine.
+/// let loaded = Plan::evaluate(&stages, decided.placement, &sca);
+/// let ndp = |p: &Plan| p.placement.iter().filter(|t| **t == Target::Ndp).count();
+/// assert!(ndp(&loaded) <= ndp(&idle));
+/// assert!(loaded.total_time() >= idle.total_time());
+/// ```
 pub struct LoadBiasedTimer<'a> {
     inner: &'a dyn StageTimer,
     load: TargetLoad,
@@ -213,89 +240,59 @@ impl StageTimer for FusedTimer<'_> {
     }
 }
 
-/// Optimal per-member placement for a chain executed as a `members`-way
-/// fused batch: the chain DP under [`FusedTimer`], so every boundary is
-/// charged its amortized share of one coalesced batch transfer. Reported
-/// costs are the **per-member** view (multiply by `members` for whole-batch
-/// totals). `plan_fused(stages, timer, 1)` equals [`plan_chain`] exactly.
-pub fn plan_fused(stages: &[KernelDescriptor], timer: &dyn StageTimer, members: usize) -> Plan {
-    plan_fused_loaded(stages, timer, TargetLoad::NONE, members)
+/// Which planner [`plan`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlacementPolicy {
+    /// The NDFT mechanism: the optimal chain DP.
+    CostAware,
+    /// Per-stage argmin ignoring boundary costs.
+    Greedy,
+    /// Brute force over all placements; falls back to the chain DP
+    /// beyond [`EXHAUSTIVE_MAX_STAGES`].
+    Exhaustive,
+    /// Everything on the host CPU (baseline).
+    CpuPinned,
+    /// Everything on the NDP side (baseline).
+    NdpPinned,
 }
 
-/// [`plan_fused`] under a cross-job [`TargetLoad`]. The load bias follows
-/// the [`plan_chain_loaded`] convention (decide dilated, report unbiased);
-/// the fusion amortization is *kept* in the reported costs — unlike load
-/// dilation it is a real property of the placement, not a tie-breaking
-/// bias.
-pub fn plan_fused_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-    members: usize,
-) -> Plan {
-    let fused = FusedTimer::new(timer, members);
-    plan_chain_loaded(stages, &fused, load)
+impl PlacementPolicy {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PlacementPolicy::CostAware => "cost-aware",
+            PlacementPolicy::Greedy => "greedy",
+            PlacementPolicy::Exhaustive => "exhaustive",
+            PlacementPolicy::CpuPinned => "cpu-pinned",
+            PlacementPolicy::NdpPinned => "ndp-pinned",
+        }
+    }
 }
 
-/// Optimal placement for a chain of stages via dynamic programming over
-/// (stage, last-target) states — NDFT's cost-aware offloading mechanism.
-/// Thin wrapper over [`plan_chain_loaded`] with [`TargetLoad::NONE`]
-/// (an idle machine).
+/// Longest chain [`PlacementPolicy::Exhaustive`] enumerates (`2^24`
+/// candidates); longer chains are planned by the chain DP, which is
+/// optimal for chains anyway.
+pub const EXHAUSTIVE_MAX_STAGES: usize = 24;
+
+/// Places every stage of `stages` under `policy`, with costs reported
+/// under `timer`. Wrap `timer` in a [`LoadBiasedTimer`] or a
+/// [`FusedTimer`] to plan for a contended machine or a fused batch (see
+/// the [module docs](self)).
 ///
 /// # Examples
 ///
 /// ```
-/// use ndft_sched::{plan_chain, StaticCodeAnalyzer, Target};
+/// use ndft_sched::{plan, PlacementPolicy, StaticCodeAnalyzer, Target};
 /// use ndft_dft::{build_task_graph, SiliconSystem};
 ///
 /// let sca = StaticCodeAnalyzer::paper_default();
 /// let graph = build_task_graph(&SiliconSystem::large(), 1);
-/// let plan = plan_chain(&graph.stages, &sca);
+/// let dp = plan(&graph.stages, PlacementPolicy::CostAware, &sca);
 /// // Memory-bound majority ⇒ most stages land on the NDP side.
-/// let ndp = plan.placement.iter().filter(|t| **t == Target::Ndp).count();
-/// assert!(ndp >= plan.placement.len() / 2);
+/// let ndp = dp.placement.iter().filter(|t| **t == Target::Ndp).count();
+/// assert!(ndp >= dp.placement.len() / 2);
 /// ```
-pub fn plan_chain(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_chain_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_chain`] under a cross-job [`TargetLoad`]: the DP decides the
-/// placement with per-target times dilated by the load's
-/// processor-sharing factor, then the chosen placement's reported costs
-/// are re-evaluated under the unbiased `timer` (see the
-/// [module docs](self) for why).
-///
-/// # Examples
-///
-/// ```
-/// use ndft_sched::{plan_chain, plan_chain_loaded, StaticCodeAnalyzer, Target, TargetLoad};
-/// use ndft_dft::{build_task_graph, SiliconSystem};
-///
-/// let sca = StaticCodeAnalyzer::paper_default();
-/// let stages = build_task_graph(&SiliconSystem::large(), 1).stages;
-/// let idle = plan_chain(&stages, &sca);
-/// // Concurrent batches hold 4 batch-equivalents of NDP busy time:
-/// // the loaded plan backs off the NDP side.
-/// let load = TargetLoad::new(0.0, 4.0 * idle.total_time(), idle.total_time());
-/// let loaded = plan_chain_loaded(&stages, &sca, load);
-/// let ndp = |p: &ndft_sched::Plan| p.placement.iter().filter(|t| **t == Target::Ndp).count();
-/// assert!(ndp(&loaded) <= ndp(&idle));
-/// ```
-pub fn plan_chain_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
-    if load.is_idle() {
-        return chain_dp(stages, timer);
-    }
-    let biased = LoadBiasedTimer::new(timer, load);
-    let plan = chain_dp(stages, &biased);
-    make_plan(stages, plan.placement, timer)
-}
-
-/// The chain DP body shared by the loaded and unloaded entry points.
-fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
+pub fn plan(stages: &[KernelDescriptor], policy: PlacementPolicy, timer: &dyn StageTimer) -> Plan {
     if stages.is_empty() {
         return Plan {
             placement: Vec::new(),
@@ -303,6 +300,24 @@ fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
             sched_overhead: 0.0,
         };
     }
+    match policy {
+        PlacementPolicy::CostAware => chain_dp(stages, timer),
+        PlacementPolicy::Greedy => greedy(stages, timer),
+        PlacementPolicy::Exhaustive if stages.len() <= EXHAUSTIVE_MAX_STAGES => {
+            exhaustive_search(stages, timer)
+        }
+        PlacementPolicy::Exhaustive => chain_dp(stages, timer),
+        PlacementPolicy::CpuPinned => {
+            Plan::evaluate(stages, vec![Target::Cpu; stages.len()], timer)
+        }
+        PlacementPolicy::NdpPinned => {
+            Plan::evaluate(stages, vec![Target::Ndp; stages.len()], timer)
+        }
+    }
+}
+
+/// The chain DP over (stage, last-target) states; `stages` is nonempty.
+fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
     let bounds = boundary_bytes(stages);
     let targets = [Target::Cpu, Target::Ndp];
     // dp[t] = (best cost so far ending on target t, predecessor chain)
@@ -342,49 +357,12 @@ fn chain_dp(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
             ti = back[k][ti];
         }
     }
-    make_plan(stages, placement, timer)
+    Plan::evaluate(stages, placement, timer)
 }
 
-/// Brute-force optimal placement (`2^n` candidates). Thin wrapper over
-/// [`plan_exhaustive_loaded`] with [`TargetLoad::NONE`].
-///
-/// # Panics
-///
-/// Panics if `stages.len() > 24` (search-space guard).
-pub fn plan_exhaustive(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_exhaustive_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_exhaustive`] under a cross-job [`TargetLoad`]: the search
-/// ranks candidates by load-dilated times, the winner's reported costs
-/// are unbiased (same convention as [`plan_chain_loaded`]).
-///
-/// # Panics
-///
-/// Panics if `stages.len() > 24` (search-space guard).
-pub fn plan_exhaustive_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
-    if !load.is_idle() {
-        let biased = LoadBiasedTimer::new(timer, load);
-        let plan = exhaustive_search(stages, &biased);
-        return make_plan(stages, plan.placement, timer);
-    }
-    exhaustive_search(stages, timer)
-}
-
-/// The `2^n` search body shared by the loaded and unloaded entry points.
+/// Brute-force optimal placement over all `2^n` candidates, `n` in
+/// `1..=EXHAUSTIVE_MAX_STAGES`.
 fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    assert!(stages.len() <= 24, "exhaustive search limited to 24 stages");
-    if stages.is_empty() {
-        return Plan {
-            placement: Vec::new(),
-            compute_time: 0.0,
-            sched_overhead: 0.0,
-        };
-    }
     let n = stages.len();
     let mut best: Option<Plan> = None;
     for mask in 0u32..(1 << n) {
@@ -397,7 +375,7 @@ fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Pla
                 }
             })
             .collect();
-        let candidate = make_plan(stages, placement, timer);
+        let candidate = Plan::evaluate(stages, placement, timer);
         if best
             .as_ref()
             .is_none_or(|b| candidate.total_time() < b.total_time())
@@ -409,42 +387,24 @@ fn exhaustive_search(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Pla
 }
 
 /// Greedy per-stage placement: each stage goes wherever it runs faster,
-/// ignoring boundary costs (the ablation baseline). Thin wrapper over
-/// [`plan_greedy_loaded`] with [`TargetLoad::NONE`].
-pub fn plan_greedy(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
-    plan_greedy_loaded(stages, timer, TargetLoad::NONE)
-}
-
-/// [`plan_greedy`] under a cross-job [`TargetLoad`]: each stage's argmin
-/// compares load-dilated times, reported costs are unbiased (same
-/// convention as [`plan_chain_loaded`]).
-pub fn plan_greedy_loaded(
-    stages: &[KernelDescriptor],
-    timer: &dyn StageTimer,
-    load: TargetLoad,
-) -> Plan {
+/// ignoring boundary costs (the ablation baseline).
+fn greedy(stages: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
     let placement: Vec<Target> = stages
         .iter()
         .map(|s| {
-            let cpu = timer.stage_time(s, Target::Cpu) * load.dilation(Target::Cpu);
-            let ndp = timer.stage_time(s, Target::Ndp) * load.dilation(Target::Ndp);
-            if ndp < cpu {
+            if timer.stage_time(s, Target::Ndp) < timer.stage_time(s, Target::Cpu) {
                 Target::Ndp
             } else {
                 Target::Cpu
             }
         })
         .collect();
-    make_plan(stages, placement, timer)
-}
-
-/// Pins every stage to one target (the CPU-only / NDP-only baselines).
-pub fn plan_pinned(stages: &[KernelDescriptor], target: Target, timer: &dyn StageTimer) -> Plan {
-    make_plan(stages, vec![target; stages.len()], timer)
+    Plan::evaluate(stages, placement, timer)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::PlacementPolicy::{CostAware, CpuPinned, Exhaustive, Greedy, NdpPinned};
     use super::*;
     use ndft_dft::{build_task_graph, SiliconSystem};
 
@@ -456,13 +416,20 @@ mod tests {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1).stages
     }
 
+    /// The brute-force search itself: a longer chain would be planned by
+    /// the DP fallback and turn a DP-vs-exhaustive check into DP-vs-DP.
+    fn exhaustive(s: &[KernelDescriptor], t: &dyn StageTimer) -> Plan {
+        assert!(s.len() <= EXHAUSTIVE_MAX_STAGES, "{} stages", s.len());
+        plan(s, Exhaustive, t)
+    }
+
     #[test]
     fn dp_matches_exhaustive() {
         for atoms in [16usize, 64, 256, 1024] {
             let s = stages(atoms);
             let t = sca();
-            let dp = plan_chain(&s, &t);
-            let ex = plan_exhaustive(&s, &t);
+            let dp = plan(&s, CostAware, &t);
+            let ex = exhaustive(&s, &t);
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
                 "Si_{atoms}: dp {} vs exhaustive {}",
@@ -476,18 +443,21 @@ mod tests {
     fn dp_beats_or_matches_greedy_and_pinned() {
         let s = stages(1024);
         let t = sca();
-        let dp = plan_chain(&s, &t).total_time();
-        assert!(dp <= plan_greedy(&s, &t).total_time() + 1e-12);
-        assert!(dp <= plan_pinned(&s, Target::Cpu, &t).total_time() + 1e-12);
-        assert!(dp <= plan_pinned(&s, Target::Ndp, &t).total_time() + 1e-12);
+        let dp = plan(&s, CostAware, &t).total_time();
+        for baseline in [Greedy, CpuPinned, NdpPinned] {
+            assert!(
+                dp <= plan(&s, baseline, &t).total_time() + 1e-12,
+                "{baseline:?}"
+            );
+        }
     }
 
     #[test]
     fn hybrid_placement_beats_single_target_on_large_system() {
         let s = stages(1024);
         let t = sca();
-        let dp = plan_chain(&s, &t);
-        let cpu_only = plan_pinned(&s, Target::Cpu, &t);
+        let dp = plan(&s, CostAware, &t);
+        let cpu_only = plan(&s, CpuPinned, &t);
         assert!(
             dp.total_time() < 0.8 * cpu_only.total_time(),
             "hybrid {} vs CPU-only {}",
@@ -503,11 +473,11 @@ mod tests {
         // (large). Our plan-level estimate must stay in single digits.
         for atoms in [64usize, 1024] {
             let s = stages(atoms);
-            let plan = plan_chain(&s, &sca());
+            let p = plan(&s, CostAware, &sca());
             assert!(
-                plan.overhead_fraction() < 0.12,
+                p.overhead_fraction() < 0.12,
                 "Si_{atoms} overhead {}",
-                plan.overhead_fraction()
+                p.overhead_fraction()
             );
         }
     }
@@ -516,34 +486,49 @@ mod tests {
     fn pinned_plans_have_no_crossings() {
         let s = stages(64);
         let t = sca();
-        assert_eq!(plan_pinned(&s, Target::Cpu, &t).crossings(), 0);
-        assert_eq!(plan_pinned(&s, Target::Ndp, &t).sched_overhead, 0.0);
+        assert_eq!(plan(&s, CpuPinned, &t).crossings(), 0);
+        assert_eq!(plan(&s, NdpPinned, &t).sched_overhead, 0.0);
     }
 
     #[test]
     fn empty_chain_is_trivial() {
         let t = sca();
-        let p = plan_chain(&[], &t);
-        assert!(p.placement.is_empty());
-        assert_eq!(p.total_time(), 0.0);
+        for policy in [CostAware, Greedy, Exhaustive, CpuPinned, NdpPinned] {
+            let p = plan(&[], policy, &t);
+            assert!(p.placement.is_empty());
+            assert_eq!(p.total_time(), 0.0);
+        }
+    }
+
+    #[test]
+    fn exhaustive_falls_back_to_the_dp_beyond_its_guard() {
+        let s: Vec<KernelDescriptor> = stages(64)
+            .iter()
+            .cycle()
+            .take(EXHAUSTIVE_MAX_STAGES + 1)
+            .cloned()
+            .collect();
+        let t = sca();
+        assert_eq!(plan(&s, Exhaustive, &t), plan(&s, CostAware, &t));
     }
 
     #[test]
     fn idle_load_reproduces_the_unloaded_plan() {
         let s = stages(256);
         let t = sca();
-        let base = plan_chain(&s, &t);
         for load in [
             TargetLoad::NONE,
             TargetLoad::new(0.0, 0.0, 1.0),
             TargetLoad::new(3.0, 5.0, 0.0), // no reference scale ⇒ inert
         ] {
-            assert_eq!(plan_chain_loaded(&s, &t, load), base);
-            assert_eq!(
-                plan_greedy_loaded(&s, &t, load),
-                plan_greedy(&s, &t),
-                "greedy under idle load"
-            );
+            let biased = LoadBiasedTimer::new(&t, load);
+            for policy in [CostAware, Greedy] {
+                assert_eq!(
+                    plan(&s, policy, &biased),
+                    plan(&s, policy, &t),
+                    "{policy:?}"
+                );
+            }
         }
     }
 
@@ -551,8 +536,9 @@ mod tests {
     fn ndp_pressure_pushes_placement_toward_cpu() {
         let s = stages(1024);
         let t = sca();
-        let idle = plan_chain(&s, &t);
+        let idle = plan(&s, CostAware, &t);
         let scale = idle.total_time();
+        let under = |load: TargetLoad| plan(&s, CostAware, &LoadBiasedTimer::new(&t, load));
         let ndp_stages = |p: &Plan| {
             p.placement
                 .iter()
@@ -562,50 +548,44 @@ mod tests {
         // Monotone back-off: growing NDP pressure never adds NDP stages.
         let mut last = ndp_stages(&idle);
         for pressure in [1.0, 4.0, 16.0, 256.0] {
-            let load = TargetLoad::new(0.0, pressure * scale, scale);
-            let plan = plan_chain_loaded(&s, &t, load);
-            let n = ndp_stages(&plan);
+            let n = ndp_stages(&under(TargetLoad::new(0.0, pressure * scale, scale)));
             assert!(n <= last, "pressure {pressure}: {n} > {last}");
             last = n;
         }
         // Crushing pressure on one side pins the plan to the other.
-        let crushed = plan_chain_loaded(&s, &t, TargetLoad::new(0.0, 1e6 * scale, scale));
+        let crushed = under(TargetLoad::new(0.0, 1e6 * scale, scale));
         assert_eq!(ndp_stages(&crushed), 0, "NDP fully evacuated");
-        let crushed_cpu = plan_chain_loaded(&s, &t, TargetLoad::new(1e6 * scale, 0.0, scale));
+        let crushed_cpu = under(TargetLoad::new(1e6 * scale, 0.0, scale));
         assert_eq!(ndp_stages(&crushed_cpu), crushed_cpu.placement.len());
     }
 
     #[test]
     fn loaded_plan_costs_are_reported_unbiased() {
-        // The decision is made under dilation, but the Plan's numbers
-        // must describe the idle machine: re-evaluating the loaded
-        // placement with the raw timer reproduces them exactly, and the
-        // loaded plan can never beat the unloaded optimum on those terms.
+        // Decide under dilation, report with the raw timer: the reported
+        // plan describes the idle machine, so it cannot beat the idle
+        // optimum, and the dilated view never looks cheaper than it.
         let s = stages(1024);
         let t = sca();
-        let idle = plan_chain(&s, &t);
+        let idle = plan(&s, CostAware, &t);
         let scale = idle.total_time();
         let load = TargetLoad::new(0.0, 8.0 * scale, scale);
-        let loaded = plan_chain_loaded(&s, &t, load);
-        let reeval = make_plan(&s, loaded.placement.clone(), &t);
-        assert_eq!(loaded, reeval);
-        assert!(loaded.total_time() >= idle.total_time() - 1e-12 * idle.total_time());
+        let decided = plan(&s, CostAware, &LoadBiasedTimer::new(&t, load));
+        let reported = Plan::evaluate(&s, decided.placement.clone(), &t);
+        assert_eq!(reported.placement, decided.placement);
+        assert!(reported.total_time() >= idle.total_time() - 1e-12 * idle.total_time());
+        assert!(decided.total_time() >= reported.total_time());
     }
 
     #[test]
     fn loaded_exhaustive_matches_loaded_dp_on_chains() {
         let s = stages(64);
         let t = sca();
-        let load = TargetLoad::new(0.0, 5.0, 1.0);
-        let dp = plan_chain_loaded(&s, &t, load);
-        let ex = plan_exhaustive_loaded(&s, &t, load);
-        // Both optimize the same dilated objective; compare under it.
-        let biased = LoadBiasedTimer::new(&t, load);
-        let dp_cost = make_plan(&s, dp.placement, &biased).total_time();
-        let ex_cost = make_plan(&s, ex.placement, &biased).total_time();
+        let biased = LoadBiasedTimer::new(&t, TargetLoad::new(0.0, 5.0, 1.0));
+        let dp = plan(&s, CostAware, &biased).total_time();
+        let ex = exhaustive(&s, &biased).total_time();
         assert!(
-            (dp_cost - ex_cost).abs() <= 1e-9 * ex_cost.max(1e-12),
-            "dp {dp_cost} vs exhaustive {ex_cost}"
+            (dp - ex).abs() <= 1e-9 * ex.max(1e-12),
+            "dp {dp} vs exhaustive {ex}"
         );
     }
 
@@ -627,12 +607,14 @@ mod tests {
         for atoms in [16usize, 256] {
             let s = stages(atoms);
             let t = sca();
-            assert_eq!(plan_fused(&s, &t, 1), plan_chain(&s, &t));
-            assert_eq!(plan_fused(&s, &t, 0), plan_chain(&s, &t)); // clamped
+            let solo = plan(&s, CostAware, &t);
+            assert_eq!(plan(&s, CostAware, &FusedTimer::new(&t, 1)), solo);
+            assert_eq!(plan(&s, CostAware, &FusedTimer::new(&t, 0)), solo); // clamped
             let load = TargetLoad::new(0.0, 3.0, 1.0);
+            let fused = FusedTimer::new(&t, 1);
             assert_eq!(
-                plan_fused_loaded(&s, &t, load, 1),
-                plan_chain_loaded(&s, &t, load)
+                plan(&s, CostAware, &LoadBiasedTimer::new(&fused, load)),
+                plan(&s, CostAware, &LoadBiasedTimer::new(&t, load))
             );
         }
     }
@@ -643,7 +625,7 @@ mod tests {
         let t = sca();
         let mut last = f64::INFINITY;
         for k in [1usize, 2, 4, 8, 32] {
-            let total = plan_fused(&s, &t, k).total_time();
+            let total = plan(&s, CostAware, &FusedTimer::new(&t, k)).total_time();
             assert!(
                 total <= last + 1e-12 * last.abs().max(1e-12),
                 "k={k}: {total} > {last}"
@@ -658,8 +640,8 @@ mod tests {
         let t = sca();
         for k in [2usize, 8] {
             let fused = FusedTimer::new(&t, k);
-            let dp = plan_fused(&s, &t, k);
-            let ex = plan_exhaustive(&s, &fused);
+            let dp = plan(&s, CostAware, &fused);
+            let ex = exhaustive(&s, &fused);
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
                 "k={k}: dp {} vs exhaustive {}",
@@ -691,8 +673,8 @@ mod tests {
         // must shrink toward zero while compute stays optimal.
         let s = stages(1024);
         let t = sca();
-        let solo = plan_chain(&s, &t);
-        let fused = plan_fused(&s, &t, 1024);
+        let solo = plan(&s, CostAware, &t);
+        let fused = plan(&s, CostAware, &FusedTimer::new(&t, 1024));
         assert!(fused.sched_overhead <= solo.sched_overhead + 1e-15);
         assert!(fused.total_time() <= solo.total_time() + 1e-15);
     }
@@ -701,8 +683,8 @@ mod tests {
     fn greedy_ignores_boundaries_dp_does_not() {
         let s = stages(64);
         let t = sca();
-        let greedy = plan_greedy(&s, &t);
-        let dp = plan_chain(&s, &t);
+        let greedy = plan(&s, Greedy, &t);
+        let dp = plan(&s, CostAware, &t);
         // Greedy may cross more often than the DP.
         assert!(dp.crossings() <= greedy.crossings() + 1);
     }

@@ -4,12 +4,19 @@
 
 use ndft_dft::{build_task_graph, KernelDescriptor, SiliconSystem};
 use ndft_sched::{
-    plan_chain, plan_exhaustive, plan_fused, plan_greedy, plan_pinned, split_stages, CostModel,
-    FusedTimer, Granularity, StageTimer, StaticCodeAnalyzer, Target,
+    plan, split_stages, CostModel, FusedTimer, Granularity, PlacementPolicy, Plan, StageTimer,
+    StaticCodeAnalyzer, Target, EXHAUSTIVE_MAX_STAGES,
 };
 
 fn stages(atoms: usize) -> Vec<KernelDescriptor> {
     build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1).stages
+}
+
+/// The brute-force search itself: a chain past the guard would be planned
+/// by the DP fallback and turn a check against it into DP-vs-DP.
+fn exhaustive(s: &[KernelDescriptor], timer: &dyn StageTimer) -> Plan {
+    assert!(s.len() <= EXHAUSTIVE_MAX_STAGES, "{} stages", s.len());
+    plan(s, PlacementPolicy::Exhaustive, timer)
 }
 
 /// The paper SCA timer with its boundary-cost model zeroed out: with free
@@ -46,8 +53,8 @@ fn greedy_matches_exhaustive_when_boundaries_are_free() {
     let timer = FreeBoundaryTimer::new();
     for atoms in [16usize, 64, 256] {
         let s = stages(atoms);
-        let greedy = plan_greedy(&s, &timer);
-        let ex = plan_exhaustive(&s, &timer);
+        let greedy = plan(&s, PlacementPolicy::Greedy, &timer);
+        let ex = exhaustive(&s, &timer);
         assert!(
             (greedy.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
             "Si_{atoms}: greedy {} vs exhaustive {}",
@@ -65,8 +72,8 @@ fn greedy_agrees_with_exhaustive_on_single_stage_chains() {
     let sca = StaticCodeAnalyzer::paper_default();
     for stage in stages(64) {
         let chain = [stage];
-        let greedy = plan_greedy(&chain, &sca);
-        let ex = plan_exhaustive(&chain, &sca);
+        let greedy = plan(&chain, PlacementPolicy::Greedy, &sca);
+        let ex = exhaustive(&chain, &sca);
         assert_eq!(greedy.placement, ex.placement, "{}", chain[0].name);
         assert_eq!(greedy.crossings(), 0);
         assert!((greedy.total_time() - ex.total_time()).abs() <= f64::EPSILON);
@@ -78,8 +85,8 @@ fn greedy_never_beats_exhaustive_on_short_chains() {
     let sca = StaticCodeAnalyzer::paper_default();
     let all = stages(64);
     for window in all.windows(3) {
-        let greedy = plan_greedy(window, &sca);
-        let ex = plan_exhaustive(window, &sca);
+        let greedy = plan(window, PlacementPolicy::Greedy, &sca);
+        let ex = exhaustive(window, &sca);
         assert!(
             ex.total_time() <= greedy.total_time() + 1e-15,
             "exhaustive must lower-bound greedy on {:?}",
@@ -94,8 +101,8 @@ fn chain_dp_matches_exhaustive_on_short_chains() {
     let all = stages(64);
     for len in 1..=4usize {
         for window in all.windows(len) {
-            let dp = plan_chain(window, &sca);
-            let ex = plan_exhaustive(window, &sca);
+            let dp = plan(window, PlacementPolicy::CostAware, &sca);
+            let ex = exhaustive(window, &sca);
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                 "len {len}: dp {} vs exhaustive {}",
@@ -119,13 +126,13 @@ fn chain_dp_matches_exhaustive_on_split_stage_chains() {
     for atoms in [16usize, 64] {
         let split = split_stages(&stages(atoms), Granularity::BasicBlock);
         assert!(
-            split.len() > 24,
+            split.len() > EXHAUSTIVE_MAX_STAGES,
             "split chain must exceed the brute-force cap"
         );
         for len in [2usize, 3, 4] {
             for window in split.windows(len).step_by(5) {
-                let dp = plan_chain(window, &sca);
-                let ex = plan_exhaustive(window, &sca);
+                let dp = plan(window, PlacementPolicy::CostAware, &sca);
+                let ex = exhaustive(window, &sca);
                 assert!(
                     (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                     "Si_{atoms} len {len}: dp {} vs exhaustive {}",
@@ -139,8 +146,8 @@ fn chain_dp_matches_exhaustive_on_split_stage_chains() {
 
 #[test]
 fn fused_dp_matches_fused_exhaustive_on_split_stage_chains() {
-    // The same coverage holds for fused plans: plan_fused is the chain DP
-    // under FusedTimer, so exhaustive search under the same adapter must
+    // The same coverage holds for fused plans: the fused plan is the chain
+    // DP under FusedTimer, so exhaustive search under the same adapter must
     // agree on split-stage windows too — exhaustive coverage stays
     // meaningful for fused planning.
     let sca = StaticCodeAnalyzer::paper_default();
@@ -148,8 +155,8 @@ fn fused_dp_matches_fused_exhaustive_on_split_stage_chains() {
     for members in [2usize, 8] {
         let fused = FusedTimer::new(&sca, members);
         for window in split.windows(4).step_by(9) {
-            let dp = plan_fused(window, &sca, members);
-            let ex = plan_exhaustive(window, &fused);
+            let dp = plan(window, PlacementPolicy::CostAware, &fused);
+            let ex = exhaustive(window, &fused);
             assert!(
                 (dp.total_time() - ex.total_time()).abs() <= 1e-12 * ex.total_time().max(1e-12),
                 "members {members}: dp {} vs exhaustive {}",
@@ -167,12 +174,20 @@ fn plan_metrics_are_deterministic_across_runs() {
         let s1 = stages(atoms);
         let s2 = stages(atoms);
         for (label, a, b) in [
-            ("chain", plan_chain(&s1, &sca), plan_chain(&s2, &sca)),
-            ("greedy", plan_greedy(&s1, &sca), plan_greedy(&s2, &sca)),
+            (
+                "chain",
+                plan(&s1, PlacementPolicy::CostAware, &sca),
+                plan(&s2, PlacementPolicy::CostAware, &sca),
+            ),
+            (
+                "greedy",
+                plan(&s1, PlacementPolicy::Greedy, &sca),
+                plan(&s2, PlacementPolicy::Greedy, &sca),
+            ),
             (
                 "cpu-pinned",
-                plan_pinned(&s1, Target::Cpu, &sca),
-                plan_pinned(&s2, Target::Cpu, &sca),
+                plan(&s1, PlacementPolicy::CpuPinned, &sca),
+                plan(&s2, PlacementPolicy::CpuPinned, &sca),
             ),
         ] {
             // Bit-exact: same placement, same times, same crossings.
@@ -191,8 +206,8 @@ fn plan_metrics_are_deterministic_across_runs() {
 fn exhaustive_is_deterministic_on_small_graphs() {
     let sca = StaticCodeAnalyzer::paper_default();
     let s = stages(16);
-    let a = plan_exhaustive(&s, &sca);
-    let b = plan_exhaustive(&s, &sca);
+    let a = exhaustive(&s, &sca);
+    let b = exhaustive(&s, &sca);
     assert_eq!(a.placement, b.placement);
     assert_eq!(a.total_time().to_bits(), b.total_time().to_bits());
     assert_eq!(a.crossings(), b.crossings());
@@ -202,7 +217,10 @@ fn exhaustive_is_deterministic_on_small_graphs() {
 fn crossings_consistent_with_placement() {
     let sca = StaticCodeAnalyzer::paper_default();
     let s = stages(256);
-    for plan in [plan_chain(&s, &sca), plan_greedy(&s, &sca)] {
+    for plan in [
+        plan(&s, PlacementPolicy::CostAware, &sca),
+        plan(&s, PlacementPolicy::Greedy, &sca),
+    ] {
         let manual = plan.placement.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(plan.crossings(), manual);
     }

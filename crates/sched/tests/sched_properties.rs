@@ -3,9 +3,7 @@
 use ndft_dft::workload::{KernelDescriptor, KernelKind};
 use ndft_numerics::KernelCost;
 use ndft_sched::anneal::{plan_anneal, AnnealOptions, Objective, PowerModel};
-use ndft_sched::{
-    plan_chain, plan_exhaustive, plan_greedy, plan_pinned, StaticCodeAnalyzer, Target,
-};
+use ndft_sched::{plan, PlacementPolicy, StaticCodeAnalyzer, Target, EXHAUSTIVE_MAX_STAGES};
 use proptest::prelude::*;
 
 /// An arbitrary kernel stage: random cost mix, pattern mix, parallelism.
@@ -40,18 +38,20 @@ proptest! {
         stages in prop::collection::vec(arb_stage(), 1..10)
     ) {
         let sca = StaticCodeAnalyzer::paper_default();
-        let dp = plan_chain(&stages, &sca);
-        let ex = plan_exhaustive(&stages, &sca);
+        // Past the guard the exhaustive policy is the DP itself.
+        prop_assert!(stages.len() <= EXHAUSTIVE_MAX_STAGES);
+        let dp = plan(&stages, PlacementPolicy::CostAware, &sca);
+        let ex = plan(&stages, PlacementPolicy::Exhaustive, &sca);
         prop_assert!(
             (dp.total_time() - ex.total_time()).abs() <= 1e-9 * ex.total_time().max(1e-12),
             "dp {} vs exhaustive {}", dp.total_time(), ex.total_time()
         );
-        prop_assert!(dp.total_time() <= plan_greedy(&stages, &sca).total_time() + 1e-12);
+        prop_assert!(dp.total_time() <= plan(&stages, PlacementPolicy::Greedy, &sca).total_time() + 1e-12);
         prop_assert!(
-            dp.total_time() <= plan_pinned(&stages, Target::Cpu, &sca).total_time() + 1e-12
+            dp.total_time() <= plan(&stages, PlacementPolicy::CpuPinned, &sca).total_time() + 1e-12
         );
         prop_assert!(
-            dp.total_time() <= plan_pinned(&stages, Target::Ndp, &sca).total_time() + 1e-12
+            dp.total_time() <= plan(&stages, PlacementPolicy::NdpPinned, &sca).total_time() + 1e-12
         );
     }
 
@@ -66,8 +66,8 @@ proptest! {
         let power = PowerModel::paper_default();
         let opts = AnnealOptions { iterations: 4000, seed, ..AnnealOptions::default() };
         let sa = plan_anneal(&stages, &sca, &power, Objective::Time, &opts);
-        let dp = plan_chain(&stages, &sca);
-        let greedy = plan_greedy(&stages, &sca);
+        let dp = plan(&stages, PlacementPolicy::CostAware, &sca);
+        let greedy = plan(&stages, PlacementPolicy::Greedy, &sca);
         prop_assert!(sa.plan.total_time() + 1e-12 >= dp.total_time());
         prop_assert!(sa.plan.total_time() <= greedy.total_time() + 1e-12);
     }
@@ -80,7 +80,7 @@ proptest! {
     ) {
         let sca = StaticCodeAnalyzer::paper_default();
         let power = PowerModel::paper_default();
-        let pinned = plan_pinned(&stages, Target::Cpu, &sca);
+        let pinned = plan(&stages, PlacementPolicy::CpuPinned, &sca);
         let e = power.plan_energy(&stages, &pinned.placement, &sca);
         prop_assert!((e - pinned.compute_time * power.cpu_watts).abs() <= 1e-9 * e.max(1e-12));
         // A placement with one crossing pays link energy on top of busy.

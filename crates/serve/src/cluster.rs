@@ -9,7 +9,7 @@
 //! 1. **Consult** — [`ClusterView::snapshot`] reads the modeled busy
 //!    seconds concurrent batches currently hold on each target (plus
 //!    the in-flight batch counts per origin shard). The worker feeds
-//!    the snapshot into [`crate::plan_placement_loaded`], which turns
+//!    the snapshot into [`crate::plan_placement_with`], which turns
 //!    it into an `ndft_sched::TargetLoad` bias: targets other batches
 //!    have reserved look proportionally slower, so the chain DP spreads
 //!    simultaneous batches across CPU and NDP instead of stacking them.
@@ -129,7 +129,8 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// The view of an idle cluster — what load-blind planning assumes.
+    /// The view of an idle cluster — what [`crate::plan_placement`]
+    /// plans against.
     pub fn idle() -> Self {
         ClusterSnapshot::default()
     }
@@ -142,7 +143,7 @@ impl ClusterSnapshot {
     /// True when nothing is reserved *and* no batch is in flight — the
     /// same predicate as [`ClusterView::is_idle`], so a drained engine
     /// reads idle through either. (Planning under an idle snapshot is
-    /// identical to load-blind planning.)
+    /// identical to the paper's isolated planner.)
     pub fn is_idle(&self) -> bool {
         self.cpu_reserved_s <= 0.0 && self.ndp_reserved_s <= 0.0 && self.inflight_batches() == 0
     }

@@ -1,59 +1,32 @@
 //! Planner-driven placement.
 //!
-//! Before executing a batch, a worker consults the `ndft_sched` planner
-//! over the measured CPU-NDP machine model ([`MeasuredTimer`] over
+//! Before executing a batch, a worker consults [`ndft_sched::plan`] over
+//! the measured CPU-NDP machine model ([`MeasuredTimer`] over
 //! [`CpuNdpMachine`]) to pick a CPU-vs-NDP placement per pipeline stage.
 //! The decision also carries both pinned baselines, so callers can verify
 //! the planner never loses to a CPU-only run — the service-level analogue
 //! of the paper's §IV-A guarantee.
 //!
-//! Placement is **utilization-aware**: [`plan_placement_loaded`] takes a
+//! Placement is **utilization-aware**: [`plan_placement_with`] takes a
 //! [`ClusterSnapshot`] of what concurrent batches have already reserved
 //! per target and converts it into an [`ndft_sched::TargetLoad`] bias —
 //! the reserved busy seconds divided by this graph's faster pinned time,
 //! i.e. pressure measured in *batch-equivalents of this very workload*.
-//! The `*_loaded` planners then see contended targets as proportionally
-//! slower and spread simultaneous batches across CPU and NDP. The
-//! reported plan costs stay unbiased (idle-machine numbers), so the
-//! pinned-baseline comparisons remain meaningful at any load.
+//! The planner decides under a [`LoadBiasedTimer`], so contended targets
+//! look proportionally slower and simultaneous batches spread across CPU
+//! and NDP; the chosen placement is then reported with
+//! [`Plan::evaluate`] under the unbiased timer, so the costs are
+//! idle-machine numbers and the pinned-baseline comparisons stay
+//! meaningful at any load. A fused batch passes an
+//! [`ndft_sched::FusedTimer`] as the timer.
 
 use crate::cluster::ClusterSnapshot;
 use ndft_core::{calib, CpuNdpMachine, MeasuredTimer, ModelConstants};
 use ndft_dft::TaskGraph;
-use ndft_sched::{
-    plan_chain_loaded, plan_exhaustive_loaded, plan_greedy_loaded, plan_pinned, FusedTimer, Plan,
-    StageTimer, Target, TargetLoad,
-};
+use ndft_sched::{plan, LoadBiasedTimer, Plan, StageTimer, Target, TargetLoad};
 use serde::{Deserialize, Serialize};
 
-/// Which planner a worker consults per batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// The NDFT mechanism: optimal chain DP ([`ndft_sched::plan_chain`]).
-    CostAware,
-    /// Per-stage argmin ignoring boundary costs ([`ndft_sched::plan_greedy`]).
-    Greedy,
-    /// Brute force over all placements ([`ndft_sched::plan_exhaustive`]);
-    /// falls back to the chain DP beyond its 24-stage guard.
-    Exhaustive,
-    /// Everything on the host CPU (baseline).
-    CpuPinned,
-    /// Everything on the NDP side (baseline).
-    NdpPinned,
-}
-
-impl PlacementPolicy {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlacementPolicy::CostAware => "cost-aware",
-            PlacementPolicy::Greedy => "greedy",
-            PlacementPolicy::Exhaustive => "exhaustive",
-            PlacementPolicy::CpuPinned => "cpu-pinned",
-            PlacementPolicy::NdpPinned => "ndp-pinned",
-        }
-    }
-}
+pub use ndft_sched::PlacementPolicy;
 
 /// A placement plan plus the context needed to judge it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,7 +44,7 @@ pub struct PlacementDecision {
     /// Modeled busy time the plan puts on the NDP stacks, seconds.
     pub ndp_busy: f64,
     /// Reserved CPU busy seconds concurrent batches held when this plan
-    /// was made (0 for load-blind planning or an idle cluster).
+    /// was made (0 on an idle cluster).
     pub cpu_load_s: f64,
     /// Reserved NDP busy seconds concurrent batches held when this plan
     /// was made.
@@ -129,108 +102,51 @@ pub fn measured_timer() -> MeasuredTimer {
 }
 
 /// Consults the planner selected by `policy` for one task graph on an
-/// idle cluster (load-blind). Thin wrapper over
-/// [`plan_placement_loaded`] with [`ClusterSnapshot::idle`].
+/// idle cluster, against the [`measured_timer`].
 pub fn plan_placement(graph: &TaskGraph, policy: PlacementPolicy) -> PlacementDecision {
-    plan_placement_loaded(graph, policy, &ClusterSnapshot::idle())
+    plan_placement_with(graph, policy, &measured_timer(), &ClusterSnapshot::idle())
 }
 
-/// [`plan_placement`] against an explicit timer (tests inject the static
-/// code analyzer here to cross-check against the measured machine).
+/// Consults the planner selected by `policy` for one task graph against
+/// `timer`, biased by what concurrent batches have reserved per target
+/// in `cluster` (see the [module docs](self) for the pressure model).
+/// Pass an [`ndft_sched::FusedTimer`] to plan the per-member view of a
+/// fused batch; pair it with a fused task graph
+/// (`ndft_dft::build_task_graph_fused`) so the stage *times* also
+/// reflect the shared-operand traffic.
 pub fn plan_placement_with(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    timer: &dyn StageTimer,
-) -> PlacementDecision {
-    plan_placement_loaded_with(graph, policy, timer, &ClusterSnapshot::idle())
-}
-
-/// Utilization-aware planner consultation: the placement decision is
-/// biased by what concurrent batches have reserved per target in
-/// `cluster` (see the [module docs](self) for the pressure model).
-pub fn plan_placement_loaded(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    cluster: &ClusterSnapshot,
-) -> PlacementDecision {
-    let timer = measured_timer();
-    plan_placement_loaded_with(graph, policy, &timer, cluster)
-}
-
-/// Fusion-aware planner consultation for a `members`-way fused batch:
-/// like [`plan_placement`] but boundaries are priced at their per-member
-/// amortized share ([`ndft_sched::FusedTimer`]), so placement can prefer
-/// wider NDP spans when the batch foots the crossing bill together. Pair
-/// with a fused task graph (`ndft_dft::build_task_graph_fused`) so the
-/// stage *times* also reflect the shared-operand traffic. Reported times
-/// are per member. At `members = 1` this equals [`plan_placement`]
-/// exactly. Thin wrapper over [`plan_placement_fused_loaded`] with an
-/// idle cluster.
-pub fn plan_placement_fused(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    members: usize,
-) -> PlacementDecision {
-    plan_placement_fused_loaded(graph, policy, &ClusterSnapshot::idle(), members)
-}
-
-/// Utilization-aware variant of [`plan_placement_fused`]: the fused
-/// boundary pricing and the cross-job load bias compose (fusion is a
-/// property of the batch, load a property of the cluster).
-pub fn plan_placement_fused_loaded(
-    graph: &TaskGraph,
-    policy: PlacementPolicy,
-    cluster: &ClusterSnapshot,
-    members: usize,
-) -> PlacementDecision {
-    let timer = measured_timer();
-    let fused = FusedTimer::new(&timer, members);
-    plan_placement_loaded_with(graph, policy, &fused, cluster)
-}
-
-/// [`plan_placement_loaded`] against an explicit timer.
-pub fn plan_placement_loaded_with(
     graph: &TaskGraph,
     policy: PlacementPolicy,
     timer: &dyn StageTimer,
     cluster: &ClusterSnapshot,
 ) -> PlacementDecision {
     let stages = &graph.stages;
-    let cpu_pinned_time = plan_pinned(stages, Target::Cpu, timer).total_time();
-    let ndp_pinned_time = plan_pinned(stages, Target::Ndp, timer).total_time();
+    let cpu_pinned_time = plan(stages, PlacementPolicy::CpuPinned, timer).total_time();
+    let ndp_pinned_time = plan(stages, PlacementPolicy::NdpPinned, timer).total_time();
     // One unit of pressure = one batch-equivalent of *this* workload:
     // reserved seconds are measured against the graph's faster pinned
     // time, so the bias is dimensionless and scale-appropriate whatever
     // the job size.
     let reference_s = cpu_pinned_time.min(ndp_pinned_time);
     let load = TargetLoad::new(cluster.cpu_reserved_s, cluster.ndp_reserved_s, reference_s);
-    let plan_under = |load: TargetLoad| match policy {
-        PlacementPolicy::CostAware => plan_chain_loaded(stages, timer, load),
-        PlacementPolicy::Greedy => plan_greedy_loaded(stages, timer, load),
-        PlacementPolicy::Exhaustive => {
-            if stages.len() <= 24 {
-                plan_exhaustive_loaded(stages, timer, load)
-            } else {
-                plan_chain_loaded(stages, timer, load)
-            }
-        }
-        // Pinned baselines ignore load: the placement is fixed by
-        // definition, only its completion time would change.
-        PlacementPolicy::CpuPinned => plan_pinned(stages, Target::Cpu, timer),
-        PlacementPolicy::NdpPinned => plan_pinned(stages, Target::Ndp, timer),
-    };
-    let plan = plan_under(load);
-    // A shift is observable only against the idle-machine plan; skip the
-    // second consultation when the bias was inert, and for pinned
-    // policies, whose placement is fixed by definition. (For the biased
-    // policies the re-plan is one extra O(n) DP per *batch* — noise next
-    // to the numerics — and Exhaustive is a validation-only policy.)
+    // Pinned placements are fixed by definition (only their completion
+    // time would change under load), and an inert bias changes nothing:
+    // both plan once, unbiased. Otherwise decide dilated, report
+    // unbiased, and check the decision against the idle-machine plan.
+    // That second O(n) DP costs microseconds; a worker's Plan stage is
+    // dominated by the modeled `run_ndft_with` run that follows it
+    // (ROADMAP item 2: 23.1 of 38.5 ms wall on the Si_256 MD flood).
     let pinned = matches!(
         policy,
         PlacementPolicy::CpuPinned | PlacementPolicy::NdpPinned
     );
-    let shifted =
-        !pinned && !load.is_idle() && plan.placement != plan_under(TargetLoad::NONE).placement;
+    let (plan, shifted) = if pinned || load.is_idle() {
+        (plan(stages, policy, timer), false)
+    } else {
+        let decided = plan(stages, policy, &LoadBiasedTimer::new(timer, load)).placement;
+        let shifted = decided != plan(stages, policy, timer).placement;
+        (Plan::evaluate(stages, decided, timer), shifted)
+    };
     let (mut cpu_busy, mut ndp_busy) = (0.0, 0.0);
     for (stage, &target) in stages.iter().zip(&plan.placement) {
         let t = timer.stage_time(stage, target);
@@ -255,10 +171,26 @@ pub fn plan_placement_loaded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndft_dft::{build_task_graph, SiliconSystem};
+    use ndft_dft::{build_task_graph, build_task_graph_fused, SiliconSystem};
+    use ndft_sched::{FusedTimer, EXHAUSTIVE_MAX_STAGES};
 
     fn graph(atoms: usize) -> TaskGraph {
         build_task_graph(&SiliconSystem::new(atoms).unwrap(), 1)
+    }
+
+    fn loaded(
+        g: &TaskGraph,
+        policy: PlacementPolicy,
+        cluster: &ClusterSnapshot,
+    ) -> PlacementDecision {
+        plan_placement_with(g, policy, &measured_timer(), cluster)
+    }
+
+    /// The per-member placement of a `members`-way fused batch of `g`.
+    fn fused_batch(g: &TaskGraph, policy: PlacementPolicy, members: usize) -> PlacementDecision {
+        let timer = measured_timer();
+        let fused = FusedTimer::new(&timer, members);
+        plan_placement_with(g, policy, &fused, &ClusterSnapshot::idle())
     }
 
     #[test]
@@ -307,8 +239,10 @@ mod tests {
     #[test]
     fn exhaustive_matches_cost_aware_on_chains() {
         // The LR-TDDFT pipeline is a chain, so the DP is optimal and the
-        // brute-force search cannot beat it.
+        // brute-force search cannot beat it. Past the guard Exhaustive
+        // would be the DP itself.
         let g = graph(64);
+        assert!(g.stages.len() <= EXHAUSTIVE_MAX_STAGES);
         let dp = plan_placement(&g, PlacementPolicy::CostAware);
         let ex = plan_placement(&g, PlacementPolicy::Exhaustive);
         let rel = (dp.modeled_time() - ex.modeled_time()).abs() / ex.modeled_time().max(1e-12);
@@ -332,7 +266,7 @@ mod tests {
     fn idle_cluster_reproduces_load_blind_decision() {
         let g = graph(256);
         let blind = plan_placement(&g, PlacementPolicy::CostAware);
-        let idle = plan_placement_loaded(&g, PlacementPolicy::CostAware, &ClusterSnapshot::idle());
+        let idle = loaded(&g, PlacementPolicy::CostAware, &ClusterSnapshot::idle());
         assert_eq!(blind, idle);
         assert!(!blind.shifted);
         assert_eq!(blind.cpu_load_s, 0.0);
@@ -347,13 +281,17 @@ mod tests {
         // Concurrent batches hold many batch-equivalents of NDP busy
         // time; the loaded plan must evacuate (records the load + shift).
         let heavy = snapshot(0.0, 1e4 * blind.cpu_pinned_time);
-        let loaded = plan_placement_loaded(&g, PlacementPolicy::CostAware, &heavy);
-        assert!(loaded.ndp_stage_count() < blind.ndp_stage_count());
-        assert!(loaded.shifted);
-        assert_eq!(loaded.ndp_load_s, heavy.ndp_reserved_s);
+        let shifted = loaded(&g, PlacementPolicy::CostAware, &heavy);
+        assert!(shifted.ndp_stage_count() < blind.ndp_stage_count());
+        assert!(shifted.shifted);
+        assert_eq!(shifted.ndp_load_s, heavy.ndp_reserved_s);
         // Reported costs stay idle-machine numbers: the shifted plan
-        // cannot look better than the idle optimum on those terms.
-        assert!(loaded.modeled_time() >= blind.modeled_time() - 1e-12);
+        // cannot look better than the idle optimum on those terms, and
+        // re-pricing its placement unbiased reproduces them exactly.
+        assert!(shifted.modeled_time() >= blind.modeled_time() - 1e-12);
+        let timer = measured_timer();
+        let reported = Plan::evaluate(&g.stages, shifted.plan.placement.clone(), &timer);
+        assert_eq!(shifted.plan, reported);
     }
 
     #[test]
@@ -361,7 +299,7 @@ mod tests {
         let g = graph(64);
         let heavy = snapshot(1e6, 1e6);
         for policy in [PlacementPolicy::CpuPinned, PlacementPolicy::NdpPinned] {
-            let d = plan_placement_loaded(&g, policy, &heavy);
+            let d = loaded(&g, policy, &heavy);
             assert!(!d.shifted, "{policy:?} shifted under load");
             assert_eq!(d.plan.placement, plan_placement(&g, policy).plan.placement);
         }
@@ -376,27 +314,28 @@ mod tests {
             PlacementPolicy::CpuPinned,
         ] {
             assert_eq!(
-                plan_placement_fused(&g, policy, 1),
+                fused_batch(&g, policy, 1),
                 plan_placement(&g, policy),
                 "{policy:?}"
             );
         }
         let busy = snapshot(0.5, 2.0);
+        let timer = measured_timer();
+        let fused_one = FusedTimer::new(&timer, 1);
         assert_eq!(
-            plan_placement_fused_loaded(&g, PlacementPolicy::CostAware, &busy, 1),
-            plan_placement_loaded(&g, PlacementPolicy::CostAware, &busy)
+            plan_placement_with(&g, PlacementPolicy::CostAware, &fused_one, &busy),
+            loaded(&g, PlacementPolicy::CostAware, &busy)
         );
     }
 
     #[test]
     fn fused_placement_amortization_never_hurts() {
-        use ndft_dft::build_task_graph_fused;
         let sys = SiliconSystem::new(64).unwrap();
         let solo = plan_placement(&build_task_graph(&sys, 1), PlacementPolicy::CostAware);
         let mut last = solo.modeled_time();
         for members in [2usize, 4, 16] {
             let fg = build_task_graph_fused(&sys, 1, members);
-            let fused = plan_placement_fused(&fg, PlacementPolicy::CostAware, members);
+            let fused = fused_batch(&fg, PlacementPolicy::CostAware, members);
             // Cheaper boundaries + amortized shared reads: per-member
             // modeled time is non-increasing in the batch width.
             assert!(

@@ -11,7 +11,7 @@ use crate::cluster::{ClusterSnapshot, ClusterView};
 use crate::dag::{WorkflowRegistry, WorkflowSpec, WorkflowTicket};
 use crate::job::{DftJob, JobRequest, Priority};
 use crate::metrics::{Metrics, ServeReport};
-use crate::placement::{plan_placement_loaded, PlacementPolicy};
+use crate::placement::{measured_timer, plan_placement_with, PlacementPolicy};
 use crate::progress::{JobStage, ProgressBus, ProgressStream};
 use crate::queue::{ShardedQueue, SubmitError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -38,14 +38,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum jobs one worker drains per dispatch (the batching window).
     pub max_batch: usize,
-    /// Planner the workers consult per batch.
+    /// Planner the workers consult per batch. Every consultation is
+    /// biased by the global [`ClusterView`], so concurrent batches spread
+    /// across CPU/NDP targets instead of piling onto the stacks an
+    /// isolated plan would pick.
     pub policy: PlacementPolicy,
-    /// Consult the global [`ClusterView`] when planning, so concurrent
-    /// batches spread across CPU/NDP targets instead of piling onto the
-    /// stacks an isolated plan would pick. `false` reproduces the old
-    /// load-blind engine (each batch plans as if it had the machine to
-    /// itself) — the A/B knob the `serve_study` contention sweep flips.
-    pub load_aware: bool,
     /// Result-cache capacity, in entries (memory tier).
     pub cache_capacity: usize,
     /// Memory-tier eviction policy. [`CachePolicy::CostWeighted`]
@@ -104,7 +101,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
             policy: PlacementPolicy::CostAware,
-            load_aware: true,
             cache_capacity: 256,
             cache_policy: CachePolicy::CostWeighted,
             cache_dir: None,
@@ -524,11 +520,7 @@ impl EngineShared {
             return 0.0;
         };
         let snap = self.cluster.snapshot();
-        let decision = if self.config.load_aware {
-            plan_placement_loaded(&graph, self.config.policy, &snap)
-        } else {
-            plan_placement_loaded(&graph, self.config.policy, &ClusterSnapshot::idle())
-        };
+        let decision = plan_placement_with(&graph, self.config.policy, &measured_timer(), &snap);
         let run_s = decision.modeled_cost_s(job.modeled_iterations());
         let backlog_s = snap.cpu_reserved_s + snap.ndp_reserved_s + self.queue.len() as f64 * run_s;
         backlog_s / self.config.workers.max(1) as f64 + run_s

@@ -176,7 +176,9 @@ impl JobTicket {
             other => drop(other),
         }
         for (_, waker) in wakers {
-            waker.wake();
+            // A panicking user waker must neither starve the wakers
+            // registered after it nor unwind into the fulfilling worker.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| waker.wake()));
         }
         true
     }
@@ -641,6 +643,26 @@ mod tests {
         }));
         assert!(t.cancel());
         assert_eq!(*order.lock().unwrap(), vec!["hook", "waker"]);
+    }
+
+    #[test]
+    fn panicking_waker_does_not_starve_the_others() {
+        struct PanickingWaker;
+        impl Wake for PanickingWaker {
+            fn wake(self: Arc<Self>) {
+                panic!("user waker panicked");
+            }
+        }
+        let t = JobTicket::pending(fp(), TraceId::DETACHED);
+        let counting = CountingWaker::new();
+        t.on_done(Waker::from(Arc::new(PanickingWaker)));
+        t.on_done(Waker::from(Arc::clone(&counting)));
+        assert_eq!(t.registered_wakers(), 2);
+        // fulfill returns instead of unwinding, and the waker registered
+        // after the panicking one still fires exactly once.
+        t.fulfill(Err(JobError::ShutDown));
+        assert_eq!(counting.count(), 1);
+        assert_eq!(t.try_result().unwrap().unwrap_err(), JobError::ShutDown);
     }
 
     #[test]

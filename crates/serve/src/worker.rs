@@ -15,9 +15,8 @@
 //! to the persistent tier when one is configured — and fulfill the
 //! submitters' tickets.
 //!
-//! The planner consultation is **utilization-aware** (unless
-//! [`crate::ServeConfig::load_aware`] is off): before planning, the
-//! worker snapshots the shared [`crate::ClusterView`] — the modeled
+//! The planner consultation is **utilization-aware**: before planning,
+//! the worker snapshots the shared [`crate::ClusterView`] — the modeled
 //! busy time concurrent batches have reserved per target — and plans
 //! under that bias, so simultaneous batches spread across CPU and NDP
 //! instead of piling onto the stacks an isolated plan would pick. The
@@ -35,10 +34,7 @@ use crate::cluster::Reservation;
 use crate::fingerprint::Fingerprint;
 use crate::job::{DftJob, JobError, JobPayload, Priority, WorkloadClass};
 use crate::metrics::ExecutionSample;
-use crate::placement::{
-    plan_placement, plan_placement_fused, plan_placement_fused_loaded, plan_placement_loaded,
-    PlacementDecision,
-};
+use crate::placement::{measured_timer, plan_placement_with, PlacementDecision};
 use crate::progress::JobStage;
 use crate::service::EngineShared;
 use crate::telemetry::{PlacementTarget, Stage};
@@ -51,6 +47,7 @@ use ndft_dft::{
     run_md_prepared, run_scf, run_scf_in, run_scf_selfconsistent_seeded, si_path, GroundState,
     KsHamiltonian, SiliconSystem,
 };
+use ndft_sched::FusedTimer;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -788,15 +785,13 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if planned.is_none() {
                 let plan_start = Instant::now();
-                // Consult the global utilization view (when load-aware):
-                // targets that concurrent batches have reserved look
-                // slower, so simultaneous batches spread instead of
-                // stacking.
-                let snapshot = shared.config.load_aware.then(|| shared.cluster.snapshot());
-                let solo = match &snapshot {
-                    Some(snap) => plan_placement_loaded(&graph, shared.config.policy, snap),
-                    None => plan_placement(&graph, shared.config.policy),
-                };
+                // Consult the global utilization view: targets that
+                // concurrent batches have reserved look slower, so
+                // simultaneous batches spread instead of stacking.
+                let snapshot = shared.cluster.snapshot();
+                let timer = measured_timer();
+                let policy = shared.config.policy;
+                let solo = plan_placement_with(&graph, policy, &timer, &snapshot);
                 let (decision, modeled) = if fuse {
                     // Plan the amortized per-member view: the fused task
                     // graph charges shared operand traffic once across
@@ -807,17 +802,8 @@ fn process_batch(shared: &EngineShared, batch: Batch<PendingJob>, shard: usize, 
                     // saw.
                     let fused_graph =
                         build_task_graph_fused(&graph.system, graph.iterations, batch_jobs);
-                    let fused = match &snapshot {
-                        Some(snap) => plan_placement_fused_loaded(
-                            &fused_graph,
-                            shared.config.policy,
-                            snap,
-                            batch_jobs,
-                        ),
-                        None => {
-                            plan_placement_fused(&fused_graph, shared.config.policy, batch_jobs)
-                        }
-                    };
+                    let fused_timer = FusedTimer::new(&timer, batch_jobs);
+                    let fused = plan_placement_with(&fused_graph, policy, &fused_timer, &snapshot);
                     fused_saving_s = (solo.modeled_time() - fused.modeled_time()).max(0.0);
                     let modeled = run_ndft_with(&fused_graph, NdftOptions::default());
                     (fused, modeled)
@@ -1048,7 +1034,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementPolicy;
+    use crate::placement::{plan_placement, PlacementPolicy};
 
     #[test]
     fn execute_payload_runs_all_kinds() {

@@ -9,8 +9,7 @@
 
 use ndft::dft::{build_task_graph, SiliconSystem};
 use ndft::sched::{
-    granularity_study, plan_chain, plan_exhaustive, plan_greedy, plan_pinned, StaticCodeAnalyzer,
-    Target,
+    granularity_study, plan, PlacementPolicy, StaticCodeAnalyzer, Target, EXHAUSTIVE_MAX_STAGES,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== Placement plans (predicted total, Eq. 1 overhead) ===");
-    let dp = plan_chain(&graph.stages, &sca);
-    let greedy = plan_greedy(&graph.stages, &sca);
-    let cpu_only = plan_pinned(&graph.stages, Target::Cpu, &sca);
-    let ndp_only = plan_pinned(&graph.stages, Target::Ndp, &sca);
+    let dp = plan(&graph.stages, PlacementPolicy::CostAware, &sca);
+    let greedy = plan(&graph.stages, PlacementPolicy::Greedy, &sca);
+    let cpu_only = plan(&graph.stages, PlacementPolicy::CpuPinned, &sca);
+    let ndp_only = plan(&graph.stages, PlacementPolicy::NdpPinned, &sca);
     for (name, plan) in [
         ("cost-aware DP (NDFT)", &dp),
         ("greedy per-stage", &greedy),
@@ -66,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plan.crossings()
         );
     }
-    if graph.stages.len() <= 24 {
-        let exhaustive = plan_exhaustive(&graph.stages, &sca);
+    if graph.stages.len() <= EXHAUSTIVE_MAX_STAGES {
+        let exhaustive = plan(&graph.stages, PlacementPolicy::Exhaustive, &sca);
         println!(
             "{:<22} total {:>10.2} ms  (validates the DP: {})",
             "exhaustive 2^n",

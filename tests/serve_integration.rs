@@ -289,7 +289,6 @@ fn concurrent_batches_plan_under_contention_and_release_reservations() {
         shards: 4,
         max_batch: 2, // many small concurrent batches
         queue_capacity: 64,
-        load_aware: true,
         ..ServeConfig::default()
     });
     // Steps sized so each batch's execution dwarfs its planning: at any
@@ -335,12 +334,12 @@ fn concurrent_batches_plan_under_contention_and_release_reservations() {
 }
 
 #[test]
-fn load_blind_engine_reports_zero_contention() {
-    // load_aware: false reproduces the old engine: every plan is made
-    // against an idle machine, so no contention is ever observed.
+fn single_worker_engine_reports_zero_contention() {
+    // One worker plans each batch only after the previous batch's
+    // reservation is released, so every plan sees an idle cluster and no
+    // contention is ever observed.
     let svc = DftService::start(ServeConfig {
-        workers: 4,
-        load_aware: false,
+        workers: 1,
         ..ServeConfig::default()
     });
     let tickets: Vec<_> = (0..16)
